@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import TrainConfig, apply_overrides, load_config
 from .data import (MANIFEST_NAME, DatasetManifest, gen_synthetic,
-                   load_manifest, load_split)
+                   load_manifest, load_sample, load_split)
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      TqdecError)
 from .losses import gram_softmax
@@ -50,15 +50,6 @@ def _load_manifest(data_dir) -> DatasetManifest:
     if not path.exists():
         raise DataError(f"no {MANIFEST_NAME} in {data_dir}")
     return load_manifest(path)
-
-
-def _find_sample(manifest: DatasetManifest, sample_id: str):
-    for split in ("train", "test"):
-        for seq in load_split(manifest, split):
-            if seq.sample_id == sample_id:
-                return seq
-    raise DataError(f"sample {sample_id!r} not found in manifest at "
-                    f"{manifest.root}")
 
 
 def _load_model_for_data(checkpoint, manifest):
@@ -153,7 +144,7 @@ def cmd_ablate(args) -> int:
 def cmd_export_attention(args) -> int:
     manifest = _load_manifest(args.data)
     _, model, _ = _load_model_for_data(args.checkpoint, manifest)
-    seq = _find_sample(manifest, args.sample)
+    seq = load_sample(manifest, args.sample)
     _, trace = model.forward(seq.features, training=False)
     out = Path(args.out) if args.out else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
@@ -173,7 +164,7 @@ def cmd_export_attention(args) -> int:
 def cmd_export_clips(args) -> int:
     manifest = _load_manifest(args.data)
     _, model, _ = _load_model_for_data(args.checkpoint, manifest)
-    seq = _find_sample(manifest, args.sample)
+    seq = load_sample(manifest, args.sample)
     assessment, _ = model.forward(seq.features, training=False)
     # one query per clip: row k is the head's (weight, score) pair for clip k
     weights = assessment.weights.data.reshape(-1)

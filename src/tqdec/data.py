@@ -260,24 +260,38 @@ def load_ground_truth(dataset_dir) -> dict:
     return out
 
 
+def _load_entry(manifest: DatasetManifest, entry: tuple) -> FeatureSequence:
+    """One manifest entry's features, checked against its manifest label
+    and the manifest's (clip_count, d) shape."""
+    sample_id, relpath, label = entry
+    seq = load_features(manifest.root / relpath, sample_id=sample_id)
+    if seq.label is None:
+        seq.label = label
+    elif abs(seq.label - label) > 1e-9:
+        raise DataError(f"{sample_id}: manifest label {label} != "
+                        f"file label {seq.label}")
+    if seq.features.shape != (manifest.clip_count, manifest.d):
+        raise DataError(
+            f"{sample_id}: features {seq.features.shape} do not match "
+            f"manifest ({manifest.clip_count}, {manifest.d})")
+    return seq
+
+
 def load_split(manifest: DatasetManifest, split: str) -> list:
     """Materialize a split as FeatureSequence objects, labels attached."""
-    out = []
-    for sample_id, relpath, label in manifest.entries(split):
-        seq = load_features(manifest.root / relpath, sample_id=sample_id)
-        if seq.label is None:
-            seq.label = label
-        elif abs(seq.label - label) > 1e-9:
-            raise DataError(f"{sample_id}: manifest label {label} != "
-                            f"file label {seq.label}")
-        if seq.features.shape != (manifest.clip_count, manifest.d):
-            raise DataError(
-                f"{sample_id}: features {seq.features.shape} do not match "
-                f"manifest ({manifest.clip_count}, {manifest.d})")
-        out.append(seq)
+    out = [_load_entry(manifest, entry) for entry in manifest.entries(split)]
     if not out:
         raise DataError(f"split {split!r} is empty")
     return out
+
+
+def load_sample(manifest: DatasetManifest, sample_id: str) -> FeatureSequence:
+    """One sample of either split by id, reading only its own file."""
+    for entry in manifest.train + manifest.test:
+        if entry[0] == sample_id:
+            return _load_entry(manifest, entry)
+    raise DataError(f"sample {sample_id!r} not found in manifest at "
+                    f"{manifest.root}")
 
 
 @dataclass

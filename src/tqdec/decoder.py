@@ -158,17 +158,24 @@ def multi_head_attention(queries: Tensor, keys_values: Tensor,
                          ) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention; keys and values share one input.
 
-    Returns the output features and the head-averaged attention matrix.
-    The matrix is detached (diagnostics only); gradients flow through
-    the output. One tape node, backward derived by hand over a 3D
-    head-batched layout.
+    ``queries`` is (..., Kq, d) and ``keys_values`` is (..., Kv, d), with
+    the same leading batch axes (none for one sample). Returns the output
+    features, (..., Kq, d), and the head-averaged attention matrix,
+    (..., Kq, Kv). The matrix is detached (diagnostics only); gradients
+    flow through the output. One tape node, backward derived by hand
+    over a (..., H, K, dh) head-batched layout.
     """
     q_in, kv = queries, keys_values
-    if q_in.data.ndim != 2 or kv.data.ndim != 2:
+    if q_in.data.ndim < 2 or kv.data.ndim != q_in.data.ndim:
         raise DimensionError(
-            f"attention needs 2D inputs, got {q_in.data.shape} and {kv.data.shape}")
-    kq, d = q_in.data.shape
-    kv_n, d2 = kv.data.shape
+            f"attention needs (..., K, d) inputs of one rank, got "
+            f"{q_in.data.shape} and {kv.data.shape}")
+    lead = q_in.data.shape[:-2]
+    if kv.data.shape[:-2] != lead:
+        raise DimensionError(
+            f"attention: batch axes differ, {q_in.data.shape} and {kv.data.shape}")
+    kq, d = q_in.data.shape[-2:]
+    kv_n, d2 = kv.data.shape[-2:]
     if d != d2:
         raise DimensionError(
             f"attention: query dim {d} != memory dim {d2}")
@@ -177,75 +184,87 @@ def multi_head_attention(queries: Tensor, keys_values: Tensor,
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
 
+    def split(rows, n):           # (rows, d) -> (..., H, n, dh)
+        return rows.reshape(lead + (n, n_heads, dh)).swapaxes(-3, -2)
+
+    def merge(heads):             # (..., H, n, dh) -> (rows, d)
+        return heads.swapaxes(-3, -2).reshape(-1, d)
+
     wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
     bq, bk, bv, bo = params.bq, params.bk, params.bv, params.bo
 
-    q = q_in.data @ wq.data + bq.data
-    k = kv.data @ wk.data + bk.data
-    v = kv.data @ wv.data + bv.data
-    qh = q.reshape(kq, n_heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(kv_n, n_heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(kv_n, n_heads, dh).transpose(1, 0, 2)
+    xq = q_in.data.reshape(-1, d)
+    xkv = kv.data.reshape(-1, d)
+    qh = split(xq @ wq.data + bq.data, kq)
+    kh = split(xkv @ wk.data + bk.data, kv_n)
+    vh = split(xkv @ wv.data + bv.data, kv_n)
 
-    s = (qh @ kh.transpose(0, 2, 1)) * scale
+    s = (qh @ kh.swapaxes(-1, -2)) * scale
     s = s - s.max(axis=-1, keepdims=True)
     e = np.exp(s)
-    attn = e / e.sum(axis=-1, keepdims=True)          # (H, Kq, Kv)
-    oh = attn @ vh                                    # (H, Kq, dh)
-    concat = oh.transpose(1, 0, 2).reshape(kq, d)
-    out_data = concat @ wo.data + bo.data
+    attn = e / e.sum(axis=-1, keepdims=True)          # (..., H, Kq, Kv)
+    concat = merge(attn @ vh)                         # (rows, d)
+    out_data = (concat @ wo.data + bo.data).reshape(q_in.data.shape)
 
     parents = (q_in, kv, wq, bq, wk, bk, wv, bv, wo, bo)
     out = Tensor(out_data, requires_grad=any(p.requires_grad for p in parents),
                  _parents=parents, _op="multi_head_attention")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
+        g = g.reshape(-1, d)
         if wo.requires_grad:
             wo._accumulate(concat.T @ g)
         if bo.requires_grad:
             bo._accumulate(g.sum(axis=0))
-        d_concat = g @ wo.data.T
-        d_oh = d_concat.reshape(kq, n_heads, dh).transpose(1, 0, 2)
-        d_attn = d_oh @ vh.transpose(0, 2, 1)
-        d_vh = attn.transpose(0, 2, 1) @ d_oh
+        d_oh = split(g @ wo.data.T, kq)
+        d_attn = d_oh @ vh.swapaxes(-1, -2)
+        d_vh = attn.swapaxes(-1, -2) @ d_oh
         d_s = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_p = d_s * scale
-        d_qh = d_p @ kh
-        d_kh = d_p.transpose(0, 2, 1) @ qh
-        d_q = d_qh.transpose(1, 0, 2).reshape(kq, d)
-        d_k = d_kh.transpose(1, 0, 2).reshape(kv_n, d)
-        d_v = d_vh.transpose(1, 0, 2).reshape(kv_n, d)
+        d_q = merge(d_p @ kh)
+        d_k = merge(d_p.swapaxes(-1, -2) @ qh)
+        d_v = merge(d_vh)
         if wq.requires_grad:
-            wq._accumulate(q_in.data.T @ d_q)
+            wq._accumulate(xq.T @ d_q)
         if bq.requires_grad:
             bq._accumulate(d_q.sum(axis=0))
         if wk.requires_grad:
-            wk._accumulate(kv.data.T @ d_k)
+            wk._accumulate(xkv.T @ d_k)
         if bk.requires_grad:
             bk._accumulate(d_k.sum(axis=0))
         if wv.requires_grad:
-            wv._accumulate(kv.data.T @ d_v)
+            wv._accumulate(xkv.T @ d_v)
         if bv.requires_grad:
             bv._accumulate(d_v.sum(axis=0))
         if q_in.requires_grad:
-            q_in._accumulate(d_q @ wq.data.T)
+            q_in._accumulate((d_q @ wq.data.T).reshape(q_in.data.shape))
         if kv.requires_grad:
-            kv._accumulate(d_k @ wk.data.T + d_v @ wv.data.T)
+            kv._accumulate((d_k @ wk.data.T + d_v @ wv.data.T)
+                           .reshape(kv.data.shape))
     out._backward_fn = _bw
 
-    weights = Tensor(attn.mean(axis=0))               # detached diagnostic
+    weights = Tensor(attn.mean(axis=-3))              # detached diagnostic
     return out, weights
 
 
-def _dropout(x: Tensor, p: float, training: bool,
-             rng: np.random.Generator | None) -> Tensor:
-    if not training or p <= 0.0:
-        return x
+def _dropout_masks(layers: list, shape: tuple, training: bool,
+                   rng: np.random.Generator | None) -> np.ndarray | None:
+    """Scaled keep-masks for every dropout site of one forward pass.
+
+    ``shape`` is the (..., K, d) shape of the decoder state. All masks
+    come from one draw of shape (..., n_layers, 3, K, d), indexed
+    [..., layer, sublayer] with sublayers self, cross, feed-forward. The
+    draw is sample-major, so a batch consumes the generator exactly as
+    its samples would one after another. None when nothing is dropped.
+    """
+    p = np.array([layer.dropout for layer in layers])
+    if not training or not np.any(p > 0.0):
+        return None
     if rng is None:
         raise ContractError("dropout in training mode needs an rng")
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return T.hadamard_const(x, mask)
+    u = rng.random(shape[:-2] + (len(layers), 3) + shape[-2:])
+    p = p.reshape(-1, 1, 1, 1)
+    return (u >= p) / (1.0 - p)
 
 
 def decoder_forward(bank: QueryBank, memory: Tensor,
@@ -257,6 +276,11 @@ def decoder_forward(bank: QueryBank, memory: Tensor,
                     ) -> tuple[Tensor, DecoderTrace]:
     """Run the decoder stack; returns final clip features and the trace.
 
+    ``memory`` is one video's (L, d) clip features or a batch's
+    (B, L, d); the features, the trace's sublayer outputs and its
+    attention matrices carry the same leading batch axes, so one sample
+    gives (K, d) features and a batch (B, K, d).
+
     ``attn_record`` picks what the trace stores for the attention loss:
     "pre_norm" keeps each sublayer's raw output, "post_norm" keeps the
     state after residual + LayerNorm.
@@ -265,40 +289,46 @@ def decoder_forward(bank: QueryBank, memory: Tensor,
         raise ConfigError("decoder_forward: need at least one layer")
     if attn_record not in ("pre_norm", "post_norm"):
         raise ConfigError(f"attn_record must be pre_norm or post_norm, got {attn_record!r}")
-    if memory.data.ndim != 2 or memory.data.shape[0] == 0:
-        raise DataError(f"decoder memory must be a non-empty L x d matrix, "
+    if memory.data.ndim < 2 or memory.data.shape[-2] == 0:
+        raise DataError(f"decoder memory must be a non-empty (..., L, d) array, "
                         f"got shape {memory.data.shape}")
-    if memory.data.shape[1] != bank.d:
+    if memory.data.shape[-1] != bank.d:
         raise DimensionError(
-            f"memory dim {memory.data.shape[1]} != model dim {bank.d}")
+            f"memory dim {memory.data.shape[-1]} != model dim {bank.d}")
 
+    lead = memory.data.shape[:-2]
+    state_shape = lead + (bank.k, bank.d)
     x = bank.embeddings
+    if lead:                      # one copy of the query bank per sample
+        x = T.add(x, Tensor(np.zeros(state_shape)))
     pe_q = bank.pos_encoding
     mem = memory
     if memory_pe:
-        mem = T.add(memory, sinusoidal_pe(memory.data.shape[0], bank.d))
+        mem = T.add(memory, sinusoidal_pe(memory.data.shape[-2], bank.d))
+    masks = _dropout_masks(layers, state_shape, training, rng)
+
+    def dropout(x: Tensor, layer: int, sublayer: int) -> Tensor:
+        if masks is None or layers[layer].dropout <= 0.0:
+            return x
+        return T.hadamard_const(x, masks[..., layer, sublayer, :, :])
 
     trace = DecoderTrace()
-    for layer in layers:
-        p = layer.dropout
+    for i, layer in enumerate(layers):
         h = layer.n_heads
 
         q_in = T.add(x, pe_q) if query_pe else x
         s, w_self = multi_head_attention(q_in, q_in, layer.self_attn, h)
-        x = T.layer_norm(T.add(x, _dropout(s, p, training, rng)),
-                         layer.ln1_g, layer.ln1_b)
+        x = T.layer_norm(T.add(x, dropout(s, i, 0)), layer.ln1_g, layer.ln1_b)
         trace.a_s.append(s if attn_record == "pre_norm" else x)
         trace.attn_weights_self.append(w_self.data)
 
         q_in2 = T.add(x, pe_q) if query_pe else x
         c, w_cross = multi_head_attention(q_in2, mem, layer.cross_attn, h)
-        y = T.layer_norm(T.add(x, _dropout(c, p, training, rng)),
-                         layer.ln2_g, layer.ln2_b)
+        y = T.layer_norm(T.add(x, dropout(c, i, 1)), layer.ln2_g, layer.ln2_b)
         trace.a_c.append(c if attn_record == "pre_norm" else y)
         trace.attn_weights_cross.append(w_cross.data)
 
         ff = T.add(T.matmul(T.relu(T.add(T.matmul(y, layer.ff_w1), layer.ff_b1)),
                             layer.ff_w2), layer.ff_b2)
-        x = T.layer_norm(T.add(y, _dropout(ff, p, training, rng)),
-                         layer.ln3_g, layer.ln3_b)
+        x = T.layer_norm(T.add(y, dropout(ff, i, 2)), layer.ln3_g, layer.ln3_b)
     return x, trace

@@ -51,10 +51,11 @@ class HeadParams:
 
 @dataclass
 class ClipAssessment:
-    """Per-clip weights and scores plus their aggregate, on the tape."""
-    weights: Tensor       # (K,), nonnegative, sums to 1
-    scores: Tensor        # (K,), raw
-    final_score: Tensor   # scalar convex combination
+    """Per-clip weights and scores plus their aggregate, on the tape,
+    with the features' leading batch axes (none for one sample)."""
+    weights: Tensor       # (..., K), nonnegative, sums to 1 over K
+    scores: Tensor        # (..., K), raw
+    final_score: Tensor   # (...), convex combination per sample
 
 
 def _xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -86,17 +87,22 @@ def init_head_params(d: int, rng: np.random.Generator,
 
 
 def head_forward(features: Tensor, params: HeadParams) -> ClipAssessment:
-    """Assess K clips: softmax weights, raw scores, weighted-sum final."""
-    if features.data.ndim != 2 or features.data.shape[0] == 0:
+    """Assess K clips: softmax weights, raw scores, weighted-sum final.
+
+    ``features`` is one sample's (K, d) or a batch's (B, K, d); the
+    weights and scores are (K,) or (B, K), the final score a scalar or
+    (B,).
+    """
+    if features.data.ndim < 2 or features.data.shape[-2] == 0:
         raise DataError(
-            f"head needs a non-empty K x d feature matrix, got {features.data.shape}")
-    k = features.data.shape[0]
-    weight_logits = T.reshape(params.weight_branch.forward(features), (k,))
+            f"head needs non-empty (..., K, d) features, got {features.data.shape}")
+    per_clip = features.data.shape[:-1]
+    weight_logits = T.reshape(params.weight_branch.forward(features), per_clip)
     weights = T.softmax(weight_logits, axis=-1)
-    scores = T.reshape(params.score_branch.forward(features), (k,))
+    scores = T.reshape(params.score_branch.forward(features), per_clip)
     if params.score_sigmoid:
         scores = T.sigmoid(scores)
-    final = T.tsum(T.mul(weights, scores))
+    final = T.tsum(T.mul(weights, scores), axis=-1)
     return ClipAssessment(weights=weights, scores=scores, final_score=final)
 
 

@@ -42,29 +42,34 @@ class LossBreakdown:
 
 def gram_softmax(a: Tensor) -> Tensor:
     """Row-wise softmax of A·Aᵀ: each row is a similarity distribution
-    of that row of A over all rows of A (itself included)."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"gram_softmax needs a 2D input, got {a.data.shape}")
+    of that row of A over all rows of A (itself included). ``a`` is one
+    (K, d) matrix or a batch (B, K, d), giving (K, K) or (B, K, K)."""
+    if a.data.ndim < 2:
+        raise DimensionError(f"gram_softmax needs a (..., K, d) input, got {a.data.shape}")
     return T.softmax(T.matmul(a, T.transpose(a)), axis=-1)
 
 
 def kl_between_maps(l_s: Tensor, l_c: Tensor, row_reduce: str = "mean") -> Tensor:
     """KL(L_S || L_C) summed across each row, reduced over rows.
 
-    Inputs are row-stochastic maps; entries pass through a 1e-12 floor
-    before the log so saturated rows stay finite.
+    Inputs are row-stochastic (..., K, K) maps; entries pass through a
+    1e-12 floor before the log so saturated rows stay finite. The result
+    has the maps' leading batch axes: a scalar for one pair of maps.
     """
     if l_s.data.shape != l_c.data.shape:
         raise DimensionError(
             f"kl_between_maps: shapes {l_s.data.shape} and {l_c.data.shape} differ")
+    if l_s.data.ndim < 2:
+        raise DimensionError(
+            f"kl_between_maps needs (..., K, K) maps, got {l_s.data.shape}")
     if row_reduce not in ("mean", "sum"):
         raise ConfigError(f"row_reduce must be mean or sum, got {row_reduce!r}")
     ls = T.clamp_min(l_s, LOG_CLAMP)
     lc = T.clamp_min(l_c, LOG_CLAMP)
     terms = T.mul(l_s, T.sub(T.log(ls), T.log(lc)))
-    total = T.tsum(terms)
+    total = T.tsum(terms, axis=(-2, -1))
     if row_reduce == "mean":
-        total = T.scale(total, 1.0 / l_s.data.shape[0])
+        total = T.scale(total, 1.0 / l_s.data.shape[-2])
     return total
 
 
@@ -77,21 +82,23 @@ def attention_loss(trace: DecoderTrace, *, row_reduce: str = "mean",
                    stop_grad: str = "none") -> tuple[Tensor, list]:
     """Sum over layers of the KL between self- and cross-map Gram-softmax.
 
-    ``stop_grad`` freezes one side ("self" or "cross") for ablations;
-    the default trains both.
+    The total has the trace's leading batch axes: a scalar for one
+    sample, (B,) for a batch. ``per_layer`` holds each layer's KL as a
+    float, averaged over the batch. ``stop_grad`` freezes one side
+    ("self" or "cross") for ablations; the default trains both.
     """
     if trace.n_layers < 1:
         raise ContractError("attention_loss: trace has no layers")
     if stop_grad not in ("none", "self", "cross"):
         raise ConfigError(f"stop_grad must be none, self or cross, got {stop_grad!r}")
-    k = trace.a_s[0].data.shape[0]
+    k = trace.a_s[0].data.shape[-2]
     per_layer = []
     total = None
     for a_s, a_c in zip(trace.a_s, trace.a_c):
-        if a_s.data.shape[0] != k or a_c.data.shape[0] != k:
+        if a_s.data.shape[-2] != k or a_c.data.shape[-2] != k:
             raise ContractError(
                 f"attention_loss: query-count mismatch across layers "
-                f"({a_s.data.shape[0]} vs {k})")
+                f"({a_s.data.shape[-2]} vs {k})")
         if stop_grad == "self":
             a_s = _detach(a_s)
         elif stop_grad == "cross":
@@ -101,7 +108,7 @@ def attention_loss(trace: DecoderTrace, *, row_reduce: str = "mean",
         kl = kl_between_maps(l_s, l_c, row_reduce)
         if symmetric:
             kl = T.scale(T.add(kl, kl_between_maps(l_c, l_s, row_reduce)), 0.5)
-        per_layer.append(float(kl.data))
+        per_layer.append(float(kl.data.mean()))
         total = kl if total is None else T.add(total, kl)
     return total, per_layer
 

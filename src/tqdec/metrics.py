@@ -69,13 +69,14 @@ def relative_l2(pred: np.ndarray, target: np.ndarray,
 
 
 def diagonality(m: np.ndarray) -> float:
-    """Mean diagonal mass of a row-stochastic square map; 1/K is chance."""
+    """Mean diagonal mass of a row-stochastic square map, or of a stack
+    of them (..., K, K) averaged over the stack; 1/K is chance."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"diagonality: need a square matrix, got {m.shape}")
-    if not np.allclose(m.sum(axis=1), 1.0, atol=1e-6):
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise DimensionError(f"diagonality: need square maps, got {m.shape}")
+    if not np.allclose(m.sum(axis=-1), 1.0, atol=1e-6):
         raise ContractError("diagonality: rows must sum to 1")
-    return float(np.mean(np.diag(m)))
+    return float(np.mean(np.diagonal(m, axis1=-2, axis2=-1)))
 
 
 @dataclass

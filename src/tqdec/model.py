@@ -2,7 +2,7 @@
 
 Built deterministically from a TrainConfig; exposes a stable named
 parameter map (used by the optimizer and the checkpoint format) and the
-per-sample forward pass.
+forward pass, over one sample or a batch.
 """
 
 from __future__ import annotations
@@ -36,9 +36,15 @@ class Model:
     def forward(self, features: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None
                 ) -> tuple[ClipAssessment, DecoderTrace]:
+        """Score one video's (L, d) clip features or a batch's (B, L, d).
+
+        The assessment and the trace carry the same leading batch axes:
+        one sample gives a scalar final score, a batch a (B,) vector.
+        """
         cfg = self.config
-        if features.ndim != 2 or features.shape[1] != cfg.dim:
-            raise DataError(f"expected (L, {cfg.dim}) features, got {features.shape}")
+        if features.ndim not in (2, 3) or features.shape[-1] != cfg.dim:
+            raise DataError(f"expected (L, {cfg.dim}) or (B, L, {cfg.dim}) "
+                            f"features, got {features.shape}")
         out, trace = decoder_forward(
             self.bank, Tensor(features), self.layers,
             query_pe=cfg.query_pe, memory_pe=cfg.memory_pe,

@@ -2,8 +2,18 @@
 
 Define-by-run: every operation records its parents and a backward
 closure on the output node, and ``backward()`` replays the tape in
-reverse topological order. Scope is deliberately small: 1D/2D arrays,
-no broadcasting beyond bias-vector addition over rows, float64 only.
+reverse topological order, passing each closure its node's gradient.
+No closure refers to its own output node, so a dropped graph is freed
+by reference counting alone, not left for the cycle collector.
+
+Every op is rank-generic over leading batch axes: a (K, d) operand is
+one sample and a (B, K, d) operand is a batch of B. ``matmul``
+multiplies over the last two axes, and a 2D right operand (a weight) is
+shared by the whole batch; ``transpose`` swaps the last two axes; and
+``add`` broadcasts an operand whose shape is a suffix of the other's (a
+bias over rows, one query bank over a batch), summing its gradient back
+over the broadcast axes. The other binary ops need equal shapes.
+float64 only.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_op", "_backward_ran")
+                 "_op", "_backward_ran", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _op: str = "leaf"):
@@ -38,7 +48,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = _parents
-        self._backward_fn: Callable[[], None] | None = None
+        self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._op = _op
         self._backward_ran = False
 
@@ -53,8 +63,10 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        # The tape never writes into a gradient array, so the first one
+        # is kept as is (read-only broadcast views are copied).
         if self.grad is None:
-            self.grad = g.astype(np.float64, copy=True)
+            self.grad = g if g.flags.writeable else g.copy()
         else:
             self.grad = self.grad + g
 
@@ -122,7 +134,7 @@ def backward(loss: Tensor):
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn()
+            node._backward_fn(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +146,30 @@ def _check_finite(arr: np.ndarray, op: str):
         raise NumericError(f"{op}: non-finite input")
 
 
+def _is_suffix(short: tuple, full: tuple) -> bool:
+    return len(short) <= len(full) and full[len(full) - len(short):] == short
+
+
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the leading axes it has beyond ``shape``."""
+    extra = g.ndim - len(shape)
+    return g.sum(axis=tuple(range(extra))) if extra else g
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum. The one allowed broadcast: 2D + 1D bias over rows."""
-    bias_case = a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]
-    if not bias_case and a.data.shape != b.data.shape:
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
+    """Elementwise sum. An operand whose shape is a suffix of the other's
+    is broadcast over the leading axes (a bias over rows, one query bank
+    over a batch); its gradient is summed back over those axes."""
+    sa, sb = a.data.shape, b.data.shape
+    if not (_is_suffix(sa, sb) or _is_suffix(sb, sa)):
+        raise DimensionError(f"add: shapes {sa} and {sb} differ")
     out = _result(a.data + b.data, (a, b), "add")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(_sum_to(g, sa))
         if b.requires_grad:
-            b._accumulate(g.sum(axis=0) if bias_case else g)
+            b._accumulate(_sum_to(g, sb))
     out._backward_fn = _bw
     return out
 
@@ -156,8 +179,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"sub: shapes {a.data.shape} and {b.data.shape} differ")
     out = _result(a.data - b.data, (a, b), "sub")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if a.requires_grad:
             a._accumulate(g)
         if b.requires_grad:
@@ -169,9 +191,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     out = _result(-a.data, (a,), "neg")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(-out.grad)
+            a._accumulate(-g)
     out._backward_fn = _bw
     return out
 
@@ -182,8 +204,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
     out = _result(a.data * b.data, (a, b), "mul")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if a.requires_grad:
             a._accumulate(g * b.data)
         if b.requires_grad:
@@ -196,9 +217,9 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = _result(a.data * s, (a,), "scale")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * s)
+            a._accumulate(g * s)
     out._backward_fn = _bw
     return out
 
@@ -211,40 +232,56 @@ def hadamard_const(a: Tensor, mask: np.ndarray) -> Tensor:
             f"hadamard_const: shapes {a.data.shape} and {mask.shape} differ")
     out = _result(a.data * mask, (a,), "hadamard_const")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * mask)
+            a._accumulate(g * mask)
     out._backward_fn = _bw
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul needs 2D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions differ, {a.data.shape} @ {b.data.shape}")
-    out = _result(a.data @ b.data, (a, b), "matmul")
+    """(..., n, k) @ (k, m), the 2D right operand shared by every batch
+    element, or (..., n, k) @ (..., k, m) over equal leading axes."""
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise DimensionError(f"matmul needs operands of rank >= 2, got {sa} and {sb}")
+    if sa[-1] != sb[-2]:
+        raise DimensionError(f"matmul: inner dimensions differ, {sa} @ {sb}")
+    shared = len(sb) == 2
+    if not shared and sa[:-2] != sb[:-2]:
+        raise DimensionError(f"matmul: batch axes differ, {sa} @ {sb}")
+    k, m = sb[-2:]
+    if shared:      # one BLAS call over all rows of the batch
+        data = (a.data.reshape(-1, k) @ b.data).reshape(sa[:-1] + (m,))
+    else:
+        data = a.data @ b.data
+    out = _result(data, (a, b), "matmul")
 
-    def _bw():
-        g = out.grad
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+    def _bw(g):
+        if shared:
+            rows = g.reshape(-1, m)
+            if a.requires_grad:
+                a._accumulate((rows @ b.data.T).reshape(sa))
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, k).T @ rows)
+        else:
+            if a.requires_grad:
+                a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+            if b.requires_grad:
+                b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
     out._backward_fn = _bw
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose needs a 2D operand, got {a.data.shape}")
-    out = _result(a.data.T.copy(), (a,), "transpose")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise DimensionError(f"transpose needs rank >= 2, got {a.data.shape}")
+    out = _result(np.swapaxes(a.data, -1, -2).copy(), (a,), "transpose")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad.T)
+            a._accumulate(np.swapaxes(g, -1, -2))
     out._backward_fn = _bw
     return out
 
@@ -255,9 +292,9 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise DimensionError(f"reshape: cannot view {a.data.shape} as {shape}")
     out = _result(a.data.reshape(shape).copy(), (a,), "reshape")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad.reshape(a.data.shape))
+            a._accumulate(g.reshape(a.data.shape))
     out._backward_fn = _bw
     return out
 
@@ -275,8 +312,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 idx = [slice(None)] * ndim
@@ -286,12 +322,12 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+def tsum(a: Tensor, axis: int | tuple | None = None) -> Tensor:
+    """Sum over ``axis`` (an int or a tuple of ints), or over everything."""
     out = _result(a.data.sum(axis=axis), (a,), "sum")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            g = out.grad
             if axis is not None:
                 g = np.expand_dims(g, axis=axis)
             a._accumulate(np.broadcast_to(g, a.data.shape))
@@ -307,9 +343,9 @@ def mean(a: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = _result(np.maximum(a.data, 0.0), (a,), "relu")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * (a.data > 0.0))
+            a._accumulate(g * (a.data > 0.0))
     out._backward_fn = _bw
     return out
 
@@ -318,9 +354,9 @@ def sigmoid(a: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-a.data))
     out = _result(y, (a,), "sigmoid")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * y * (1.0 - y))
+            a._accumulate(g * y * (1.0 - y))
     out._backward_fn = _bw
     return out
 
@@ -335,9 +371,8 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = _result(y, (a,), "softmax")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            g = out.grad
             inner = (g * y).sum(axis=axis, keepdims=True)
             a._accumulate(y * (g - inner))
     out._backward_fn = _bw
@@ -349,9 +384,9 @@ def log(a: Tensor) -> Tensor:
         raise NumericError("log: non-positive input, clamp first")
     out = _result(np.log(a.data), (a,), "log")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad / a.data)
+            a._accumulate(g / a.data)
     out._backward_fn = _bw
     return out
 
@@ -361,16 +396,17 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     floor = float(floor)
     out = _result(np.maximum(a.data, floor), (a,), "clamp_min")
 
-    def _bw():
+    def _bw(g):
         if a.requires_grad:
-            a._accumulate(out.grad * (a.data > floor))
+            a._accumulate(g * (a.data > floor))
     out._backward_fn = _bw
     return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then scale+shift."""
+    """Normalize the last axis to zero mean, unit variance, then scale+shift;
+    the gain and bias gradients sum over every leading axis."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError(
@@ -381,13 +417,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     xhat = (x.data - mu) * inv
     out = _result(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if gain.requires_grad:
-            gg = g * xhat
-            gain._accumulate(gg.sum(axis=0) if x.data.ndim == 2 else gg)
+            gain._accumulate(_sum_to(g * xhat, (d,)))
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=0) if x.data.ndim == 2 else g)
+            bias._accumulate(_sum_to(g, (d,)))
         if x.requires_grad:
             gy = g * gain.data
             term = gy - gy.mean(axis=-1, keepdims=True) \

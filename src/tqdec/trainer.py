@@ -9,6 +9,7 @@ rerun reproduces the epoch log byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import tensor as T
 from .config import TrainConfig, apply_overrides, config_from_text, config_to_text
 from .data import (DatasetManifest, LabelTransform, fit_label_transform,
                    load_split)
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .losses import (LossWeights, attention_loss, gram_softmax, mse_loss,
                      total_loss)
 from .metrics import EvalReport, diagonality, relative_l2, srcc
@@ -80,21 +81,27 @@ def _srcc_or_zero(preds: np.ndarray, targets: np.ndarray) -> float:
 def evaluate(model: Model, samples: list, transform: LabelTransform) -> EvalReport:
     """Dropout-free predictions vs raw labels; R-l2 uses the train range.
 
+    The samples are scored in chunks of ``_chunk_size`` (``batch_size``
+    at most), one batched forward pass per chunk, which bounds the
+    activations held at once.
+
     The per-layer diagonality statistic is computed on the row-softmaxed Gram
     matrix of each layer's self-attention sublayer output — the same map the
     attention loss acts on — so the log column tracks how query-separated the
     self-attention features are, not the raw attention weights.
     """
-    preds, targets = [], []
+    chunk_size = _chunk_size(model.config, samples[0].features.shape[0])
+    preds = []
     diag_sums = np.zeros(len(model.layers))
-    for seq in samples:
-        assessment, trace = model.forward(seq.features, training=False)
-        preds.append(float(transform.denormalize(assessment.final_score.data)))
-        targets.append(seq.label)
+    for start in range(0, len(samples), chunk_size):
+        chunk = samples[start:start + chunk_size]
+        assessment, trace = model.forward(np.stack([s.features for s in chunk]),
+                                          training=False)
+        preds.append(transform.denormalize(assessment.final_score.data))
         for i, a_s in enumerate(trace.a_s):
-            diag_sums[i] += diagonality(gram_softmax(a_s).data)
-    preds = np.array(preds)
-    targets = np.array(targets)
+            diag_sums[i] += diagonality(gram_softmax(a_s).data) * len(chunk)
+    preds = np.concatenate(preds)
+    targets = np.array([s.label for s in samples])
     return EvalReport(srcc=_srcc_or_zero(preds, targets),
                       rl2=relative_l2(preds, targets, lo=transform.lo,
                                       hi=transform.hi),
@@ -127,28 +134,42 @@ def _snapshot(params: dict) -> dict:
     return {n: p.data.copy() for n, p in params.items()}
 
 
-def _batch_loss(model: Model, batch: list, labels_norm: np.ndarray,
+# Attention keeps about four (samples, H, K, L) float64 arrays live
+# through its softmax and backward. A forward pass takes as many samples
+# as keep one of them within 512 KiB, a quarter of a 2 MiB per-core L2,
+# so long videos are not slowed by cache misses: K=L=64 runs in chunks
+# of 4 samples, K=8 in whole batches.
+ATTENTION_CHUNK_BYTES = 512 * 1024
+
+
+def _chunk_size(cfg: TrainConfig, clips: int) -> int:
+    """Samples per batched forward pass for memories of ``clips`` clips:
+    ``batch_size`` at most, fewer when one sample's attention is large."""
+    per_sample = 8 * cfg.heads * cfg.clips * max(cfg.clips, clips)
+    return max(1, min(cfg.batch_size, ATTENTION_CHUNK_BYTES // per_sample))
+
+
+def _batch_loss(model: Model, features: np.ndarray, labels_norm: np.ndarray,
                 weights: LossWeights, cfg: TrainConfig,
                 rng: np.random.Generator):
-    finals = []
-    att_terms = []
-    for seq in batch:
-        assessment, trace = model.forward(seq.features, training=True, rng=rng)
-        finals.append(T.reshape(assessment.final_score, (1,)))
+    """Combined loss of a (B, L, d) batch: MSE over the B final scores
+    plus the batch-mean attention loss. The batch runs as batched forward
+    passes over chunks of ``_chunk_size`` samples (one chunk unless the
+    videos are long), and the dropout masks are drawn in sample order
+    whatever the chunking."""
+    size = _chunk_size(cfg, features.shape[1])
+    finals, atts = [], []
+    for start in range(0, len(features), size):
+        assessment, trace = model.forward(features[start:start + size],
+                                          training=True, rng=rng)
+        finals.append(assessment.final_score)
         if cfg.attention_loss:
             att, _ = attention_loss(trace, row_reduce=cfg.kl_row_reduce,
                                     symmetric=cfg.kl_symmetric,
                                     stop_grad=cfg.kl_stop_grad)
-            att_terms.append(att)
-    pred = T.concat(finals, axis=0)
-    reg = mse_loss(pred, labels_norm)
-    if att_terms:
-        att = att_terms[0]
-        for term in att_terms[1:]:
-            att = T.add(att, term)
-        att = T.scale(att, 1.0 / len(att_terms))
-    else:
-        att = Tensor(np.array(0.0))
+            atts.append(att)
+    reg = mse_loss(T.concat(finals, axis=0), labels_norm)
+    att = T.mean(T.concat(atts, axis=0)) if atts else Tensor(np.array(0.0))
     return total_loss(reg, att, weights), float(reg.data), float(att.data)
 
 
@@ -159,6 +180,7 @@ def train(cfg: TrainConfig, manifest: DatasetManifest,
     test_samples = load_split(manifest, "test")
     transform = fit_label_transform([s.label for s in train_samples])
     labels_norm = transform.normalize([s.label for s in train_samples])
+    train_features = np.stack([s.features for s in train_samples])
 
     model = build_model(cfg)
     params = model.named_parameters()
@@ -189,10 +211,10 @@ def train(cfg: TrainConfig, manifest: DatasetManifest,
             batches = [np.arange(n)]
         reg_sum = att_sum = 0.0
         for idx in batches:
-            batch = [train_samples[i] for i in idx]
             try:
                 loss, reg_val, att_val = _batch_loss(
-                    model, batch, labels_norm[idx], weights, cfg, dropout_rng)
+                    model, train_features[idx], labels_norm[idx], weights, cfg,
+                    dropout_rng)
             except NumericError as exc:
                 fail_with_checkpoint(
                     f"training diverged at epoch {epoch}: {exc}")
@@ -202,6 +224,7 @@ def train(cfg: TrainConfig, manifest: DatasetManifest,
             for p in params.values():
                 p.zero_grad()
             T.backward(loss)
+            del loss                # free this batch's graph before the next
             adam_step(params, adam, cfg.learning_rate)
             reg_sum += reg_val
             att_sum += att_val
@@ -283,57 +306,93 @@ def checkpoint_save(path, cfg: TrainConfig, params: dict, adam: AdamState,
 
 
 def checkpoint_load(path) -> tuple:
-    """Returns (config, model with best params, AdamState, LabelTransform)."""
+    """Returns (config, model with best params, AdamState, LabelTransform).
+
+    Every read is bounds-checked, and a truncated or corrupt file raises
+    DataError naming the byte offset: the file must hold exactly the
+    arrays its own config's model needs, with their shapes, all finite.
+    """
     path = Path(path)
     raw = path.read_bytes()
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if off + n > len(raw):
+            raise DataError(f"{path}: truncated {what} at byte {off} "
+                            f"(need {n} bytes, file has {len(raw) - off})")
+        off += n
+        return raw[off - n:off]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    def text(n: int, what: str) -> str:
+        at = off
+        try:
+            return take(n, what).decode()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {what} at byte {at} is not UTF-8") from exc
+
     if raw[:4] != CKPT_MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic {raw[:4]!r})")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    off = 4
+    (version,) = unpack("<I", "version")
     if version != CKPT_VERSION:
         raise DataError(f"{path}: checkpoint version {version} unsupported "
                         f"(expected {CKPT_VERSION})")
-    (cfg_len,) = struct.unpack_from("<I", raw, 8)
-    off = 12
-    cfg = config_from_text(raw[off:off + cfg_len].decode())
-    off += cfg_len
-    (n_arrays,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (cfg_len,) = unpack("<I", "config length")
+    cfg_at = off
+    try:
+        cfg = config_from_text(text(cfg_len, "config"))
+    except ConfigError as exc:
+        raise DataError(f"{path}: bad config at byte {cfg_at}: {exc}") from exc
+    (n_arrays,) = unpack("<I", "array count")
     arrays = {}
     for _ in range(n_arrays):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + name_len].decode()
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off) if ndim else ()
-        off += 4 * ndim
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        off += count * 8
+        at = off
+        (name_len,) = unpack("<H", "array name length")
+        name = text(name_len, "array name")
+        (ndim,) = unpack("<B", f"rank of {name!r}")
+        shape = unpack(f"<{ndim}I", f"shape of {name!r}")
+        count = math.prod(shape)
+        arr = np.frombuffer(take(8 * count, f"data of {name!r}"), dtype="<f8")
+        if name in arrays:
+            raise DataError(f"{path}: duplicate array {name!r} at byte {at}")
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{path}: non-finite value in {name!r} at byte {at}")
         arrays[name] = arr.reshape(shape).astype(np.float64)
     if off != len(raw):
         raise DataError(f"{path}: {len(raw) - off} trailing bytes at byte {off}")
 
     model = build_model(cfg)
     params = model.named_parameters()
-    adam = AdamState.for_params(params)
-    for name, arr in arrays.items():
-        if name.startswith("param."):
-            key = name[len("param."):]
-            if key not in params:
-                raise DataError(f"{path}: unknown parameter {key!r}")
-            if params[key].data.shape != arr.shape:
-                raise DataError(f"{path}: shape mismatch for {key!r}: "
-                                f"{arr.shape} vs {params[key].data.shape}")
-            params[key].data = arr.copy()
-        elif name.startswith("adam.m."):
-            adam.m[name[len("adam.m."):]] = arr.copy()
-        elif name.startswith("adam.v."):
-            adam.v[name[len("adam.v."):]] = arr.copy()
-    adam.step = int(arrays["adam.step"][0])
-    transform = LabelTransform(lo=float(arrays["label_norm.lo"][0]),
-                               hi=float(arrays["label_norm.hi"][0]))
+    expected = {"adam.step": (1,), "label_norm.lo": (1,), "label_norm.hi": (1,)}
+    for key, p in params.items():
+        for prefix in ("param.", "adam.m.", "adam.v."):
+            expected[prefix + key] = p.data.shape
+    for name in sorted(arrays.keys() | expected.keys()):
+        if name not in expected:
+            raise DataError(f"{path}: unknown array {name!r}")
+        if name not in arrays:
+            raise DataError(f"{path}: missing array {name!r}")
+        if arrays[name].shape != expected[name]:
+            raise DataError(f"{path}: shape mismatch for {name!r}: "
+                            f"{arrays[name].shape} vs {expected[name]}")
+
+    adam = AdamState(step=0)
+    for key, p in params.items():
+        p.data = arrays[f"param.{key}"]
+        adam.m[key] = arrays[f"adam.m.{key}"]
+        adam.v[key] = arrays[f"adam.v.{key}"]
+    step = float(arrays["adam.step"][0])
+    if step < 0 or step != int(step):
+        raise DataError(f"{path}: Adam step {step} is not a count")
+    adam.step = int(step)
+    try:
+        transform = LabelTransform(lo=float(arrays["label_norm.lo"][0]),
+                                   hi=float(arrays["label_norm.hi"][0]))
+    except ContractError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return cfg, model, adam, transform
 
 

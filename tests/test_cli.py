@@ -227,6 +227,23 @@ def test_export_clips_totals(workspace, tmp_path):
 # error handling
 
 
+def test_export_reads_one_feature_file(workspace, tmp_path, monkeypatch):
+    import tqdec.data
+    calls = []
+    original = tqdec.data.load_features
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(tqdec.data, "load_features", counting)
+    sample = _any_test_sample(workspace / "data")
+    rc = main(["export-clips", "--data", str(workspace / "data"),
+               "--checkpoint", str(workspace / "run" / "best.tqck"),
+               "--sample", sample, "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1 and calls[0].stem == sample
+
+
 def test_unknown_config_key_exits_2(workspace):
     rc = main(["train", "--data", str(workspace / "data"),
                "--set", "bogus.key=1"])

@@ -132,6 +132,51 @@ class TestMultiHeadAttention:
                                  identity_attention(6), 4)
 
 
+class TestBatchedAttention:
+    def test_matches_per_sample(self):
+        rng = np.random.default_rng(4)
+        params = init_attention_params(8, rng)
+        q = rng.normal(size=(3, 5, 8))
+        kv = rng.normal(size=(3, 6, 8))
+        out, w = multi_head_attention(Tensor(q), Tensor(kv), params, 2)
+        assert out.data.shape == (3, 5, 8) and w.data.shape == (3, 5, 6)
+        for b in range(3):
+            o1, w1 = multi_head_attention(Tensor(q[b]), Tensor(kv[b]), params, 2)
+            np.testing.assert_allclose(out.data[b], o1.data, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(w.data[b], w1.data, rtol=1e-13, atol=1e-15)
+
+    def test_gradients_through_batched_node(self):
+        for seed in range(10):
+            rng = np.random.default_rng(300 + seed)
+            params = init_attention_params(8, rng)
+            kv_data = rng.normal(size=(2, 4, 8))
+            probe = Tensor(rng.normal(size=(2, 3, 8)))
+            q = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
+            rep = T.grad_check(lambda t: T.tsum(T.mul(multi_head_attention(
+                t, Tensor(kv_data), params, 4)[0], probe)), q)
+            assert rep.passed, f"seed {seed} queries: {rep.max_rel_err:.2e}"
+            kv = Tensor(kv_data.copy(), requires_grad=True)
+            rep = T.grad_check(lambda t: T.tsum(T.mul(multi_head_attention(
+                Tensor(q.data), t, params, 4)[0], probe)), kv)
+            assert rep.passed, f"seed {seed} memory: {rep.max_rel_err:.2e}"
+            wq = Tensor(params.wq.data.copy(), requires_grad=True)
+
+            def through_wq(t):
+                p = AttentionParams(**{**params.__dict__, "wq": t})
+                out, _ = multi_head_attention(Tensor(q.data), Tensor(kv_data), p, 4)
+                return T.tsum(T.mul(out, probe))
+            rep = T.grad_check(through_wq, wq)
+            assert rep.passed, f"seed {seed} wq: {rep.max_rel_err:.2e}"
+
+    def test_batch_axes_must_match(self):
+        with pytest.raises(DimensionError):
+            multi_head_attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4))),
+                                 identity_attention(4), 1)
+        with pytest.raises(DimensionError):
+            multi_head_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 3, 4))),
+                                 identity_attention(4), 1)
+
+
 class TestAttentionGradients:
     """The fused node's hand-derived backward against finite differences."""
 
@@ -286,6 +331,34 @@ class TestDecoderForward:
         out_tr2, _ = decoder_forward(bank, memory, layers, training=True,
                                      rng=np.random.default_rng(0))
         assert np.array_equal(out_tr.data, out_tr2.data)
+
+    def test_batch_matches_per_sample(self):
+        bank, _, rng = self._bank_and_memory(k=3, d=8)
+        layers = [init_layer_params(8, 2, 0.0, rng) for _ in range(2)]
+        memory = rng.normal(size=(4, 5, 8))
+        out, trace = decoder_forward(bank, Tensor(memory), layers, memory_pe=True)
+        assert out.data.shape == (4, 3, 8)
+        assert trace.attn_weights_cross[0].shape == (4, 3, 5)
+        for b in range(4):
+            o1, t1 = decoder_forward(bank, Tensor(memory[b]), layers, memory_pe=True)
+            np.testing.assert_allclose(out.data[b], o1.data, rtol=1e-12, atol=1e-14)
+            for i in range(2):
+                np.testing.assert_allclose(trace.a_s[i].data[b], t1.a_s[i].data,
+                                           rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(trace.a_c[i].data[b], t1.a_c[i].data,
+                                           rtol=1e-12, atol=1e-14)
+
+    def test_batch_dropout_matches_samples_in_order(self):
+        bank, _, rng = self._bank_and_memory(k=3, d=8)
+        layers = [init_layer_params(8, 2, 0.4, rng) for _ in range(2)]
+        memory = rng.normal(size=(3, 5, 8))
+        out, _ = decoder_forward(bank, Tensor(memory), layers, training=True,
+                                 rng=np.random.default_rng(7))
+        one_by_one = np.random.default_rng(7)
+        for b in range(3):
+            o1, _ = decoder_forward(bank, Tensor(memory[b]), layers,
+                                    training=True, rng=one_by_one)
+            np.testing.assert_allclose(out.data[b], o1.data, rtol=1e-12, atol=1e-14)
 
     def test_empty_memory_rejected(self):
         bank, _, rng = self._bank_and_memory()

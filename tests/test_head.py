@@ -16,6 +16,20 @@ def small_params(d=8, seed=0, score_sigmoid=False):
 
 
 class TestHeadForward:
+    def test_batch_matches_per_sample(self):
+        rng = np.random.default_rng(3)
+        params = small_params()
+        feats = rng.normal(size=(4, 5, 8))
+        out = head_forward(Tensor(feats), params)
+        assert out.weights.data.shape == (4, 5)
+        assert out.final_score.data.shape == (4,)
+        for b in range(4):
+            one = head_forward(Tensor(feats[b]), params)
+            np.testing.assert_allclose(out.weights.data[b], one.weights.data,
+                                       rtol=1e-13)
+            assert out.final_score.data[b] == pytest.approx(
+                float(one.final_score.data), rel=1e-13)
+
     def test_single_clip(self):
         feats = Tensor(np.random.default_rng(0).normal(size=(1, 8)))
         out = head_forward(feats, small_params())

@@ -59,6 +59,35 @@ class TestGramSoftmax:
             gram_softmax(Tensor(bad))
 
 
+class TestBatchedLosses:
+    def test_gram_and_kl_per_sample(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(3, 4, 5))
+        c = rng.normal(size=(3, 4, 5))
+        ls, lc = gram_softmax(Tensor(a)), gram_softmax(Tensor(c))
+        assert ls.data.shape == (3, 4, 4)
+        kl = kl_between_maps(ls, lc)
+        assert kl.data.shape == (3,)
+        for b in range(3):
+            one = kl_between_maps(gram_softmax(Tensor(a[b])),
+                                  gram_softmax(Tensor(c[b])))
+            assert kl.data[b] == pytest.approx(float(one.data), rel=1e-13)
+
+    def test_attention_loss_keeps_batch_axis(self):
+        rng = np.random.default_rng(7)
+        a_s = [rng.normal(size=(3, 4, 5)) for _ in range(2)]
+        a_c = [rng.normal(size=(3, 4, 5)) for _ in range(2)]
+        total, per_layer = attention_loss(trace_of(a_s, a_c))
+        assert total.data.shape == (3,)
+        for b in range(3):
+            one, _ = attention_loss(trace_of([x[b] for x in a_s],
+                                             [x[b] for x in a_c]))
+            assert total.data[b] == pytest.approx(float(one.data), rel=1e-13)
+        whole = [float(attention_loss(trace_of([s], [c]))[0].data.mean())
+                 for s, c in zip(a_s, a_c)]
+        assert per_layer == pytest.approx(whole, rel=1e-13)
+
+
 class TestKlBetweenMaps:
     def test_hand_case(self):
         l_s = Tensor(np.array([[0.9, 0.1], [0.1, 0.9]]))

@@ -137,3 +137,9 @@ class TestDiagonality:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             diagonality(np.full((2, 3), 1.0 / 3.0))
+
+    def test_stack_is_mean_over_maps(self):
+        a = np.array([[0.7, 0.3], [0.4, 0.6]])
+        stack = np.stack([a, np.eye(2), np.full((2, 2), 0.5)])
+        want = np.mean([diagonality(m) for m in stack])
+        assert diagonality(stack) == pytest.approx(want, abs=1e-15)

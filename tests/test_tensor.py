@@ -5,6 +5,9 @@ oracle lives in tensor.grad_check and is itself exercised here on a
 function with a known closed-form gradient.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -36,7 +39,7 @@ class TestGradCheckOracle:
             out = T.Tensor(t.data.sum(), requires_grad=True,
                            _parents=(t,), _op="broken")
 
-            def _bw():
+            def _bw(g):
                 t._accumulate(np.full_like(t.data, 3.0))  # truth is 1.0
             out._backward_fn = _bw
             return out
@@ -154,6 +157,94 @@ class TestPrimitiveGradients:
             assert rep.passed
 
 
+class TestBatchedGradients:
+    """Leading batch axes: broadcast operands get their gradients summed
+    back over the batch."""
+
+    def test_matmul_shared_weight(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x_data = make_input(rng, (3, 4, 5))
+            w_data = make_input(rng, (5, 2))
+            probe = T.Tensor(make_input(rng, (3, 4, 2)))
+            w = T.Tensor(w_data.copy(), requires_grad=True)
+            rep = T.grad_check(lambda t: T.tsum(T.mul(
+                T.matmul(T.Tensor(x_data), t), probe)), w)
+            assert rep.passed, f"weight seed {seed}: {rep.max_rel_err:.2e}"
+            x = T.Tensor(x_data.copy(), requires_grad=True)
+            rep = T.grad_check(lambda t: T.tsum(T.mul(
+                T.matmul(t, T.Tensor(w_data)), probe)), x)
+            assert rep.passed, f"input seed {seed}: {rep.max_rel_err:.2e}"
+
+    def test_matmul_batched_operands(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            b_data = make_input(rng, (3, 5, 2))
+            probe = T.Tensor(make_input(rng, (3, 4, 2)))
+            a = T.Tensor(make_input(rng, (3, 4, 5)), requires_grad=True)
+            rep = T.grad_check(lambda t: T.tsum(T.mul(
+                T.matmul(t, T.Tensor(b_data)), probe)), a)
+            assert rep.passed
+            # the Gram product: both operands are the same node
+            rep = T.grad_check(lambda t: T.tsum(T.mul(
+                T.matmul(t, T.transpose(t)), T.Tensor(np.ones((3, 4, 4))))), a)
+            assert rep.passed
+
+    def test_matmul_matches_per_sample(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(3, 4, 5))
+        w = rng.normal(size=(5, 2))
+        out = T.matmul(T.Tensor(x), T.Tensor(w)).data
+        for b in range(3):
+            np.testing.assert_allclose(out[b], x[b] @ w, rtol=1e-14)
+
+    def test_add_broadcasts_suffix_operand_either_side(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            big = make_input(rng, (3, 4, 5))
+            probe = T.Tensor(make_input(rng, (3, 4, 5)))
+            for shape in ((5,), (4, 5)):
+                small = T.Tensor(make_input(rng, shape), requires_grad=True)
+                rep = T.grad_check(lambda t: T.tsum(T.mul(
+                    T.add(T.Tensor(big), t), probe)), small)
+                assert rep.passed
+                rep = T.grad_check(lambda t: T.tsum(T.mul(
+                    T.add(t, T.Tensor(big)), probe)), small)
+                assert rep.passed
+
+    def test_add_rejects_non_suffix_shapes(self):
+        with pytest.raises(DimensionError):
+            T.add(T.Tensor(np.ones((3, 4, 5))), T.Tensor(np.ones((3, 5))))
+
+    def test_transpose_and_axis_sum(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = T.Tensor(make_input(rng, (2, 3, 4)), requires_grad=True)
+            probe = T.Tensor(make_input(rng, (2, 4, 3)))
+            assert T.grad_check(lambda t: T.tsum(T.mul(T.transpose(t), probe)), x).passed
+            w = T.Tensor(make_input(rng, (2,)))
+            assert T.grad_check(lambda t: T.tsum(T.mul(
+                T.tsum(t, axis=(-2, -1)), w)), x).passed
+
+    def test_layer_norm_batched_gain_and_bias(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            xd = make_input(rng, (2, 4, 6))
+            gd = rng.uniform(0.5, 1.5, size=6)
+            bd = rng.uniform(-0.5, 0.5, size=6)
+            w = T.Tensor(rng.uniform(-1, 1, size=(2, 4, 6)))
+            for which in range(3):
+                args = [T.Tensor(xd), T.Tensor(gd), T.Tensor(bd)]
+                t0 = T.Tensor(args[which].data.copy(), requires_grad=True)
+
+                def f(t, which=which, args=args):
+                    parts = list(args)
+                    parts[which] = t
+                    return T.tsum(T.mul(T.layer_norm(*parts), w))
+                rep = T.grad_check(f, t0)
+                assert rep.passed, f"input {which} seed {seed}: {rep.max_rel_err:.2e}"
+
+
 class TestSoftmaxProperties:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -207,6 +298,22 @@ class TestGraphMechanics:
         y = T.tsum(T.mul(x, x))
         T.backward(y)
         assert x.grad is None
+
+    def test_dropped_graph_freed_without_cycle_collector(self):
+        # no backward closure refers to its own node, so reference
+        # counting alone frees a graph once the caller drops it
+        w = T.Tensor(np.ones((3, 3)), requires_grad=True)
+        gc.disable()
+        try:
+            h = T.relu(T.matmul(T.Tensor(np.ones((2, 4, 3))), w))
+            loss = T.mean(T.mul(h, h))
+            T.backward(loss)
+            interior = weakref.ref(h)
+            del h, loss
+            assert interior() is None
+            assert w.grad is not None
+        finally:
+            gc.enable()
 
     def test_deep_chain_no_recursion_limit(self):
         x = T.Tensor(np.array([1.0]), requires_grad=True)

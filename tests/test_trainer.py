@@ -5,12 +5,15 @@ ablation grid harness.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tqdec.config import TrainConfig
-from tqdec.data import gen_synthetic, load_split
+from tqdec.data import LabelTransform, gen_synthetic, load_split
 from tqdec.errors import DataError, NumericError
 from tqdec.losses import gram_softmax
 from tqdec.metrics import diagonality
+from tqdec.model import build_model
 from tqdec.tensor import Tensor
 from tqdec.trainer import (AdamState, _srcc_or_zero, adam_step,
                            checkpoint_load, checkpoint_save, evaluate,
@@ -291,6 +294,78 @@ def test_checkpoint_rejects_trailing_bytes(tiny_run, tmp_path):
     p.write_bytes(raw)
     with pytest.raises(DataError, match="trailing"):
         checkpoint_load(p)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A saved checkpoint of a tiny model, and a path to write
+    damaged copies of it to."""
+    root = tmp_path_factory.mktemp("ckpt")
+    cfg = TrainConfig(dim=8, clips=4, heads=2, layers=1, seed=3)
+    params = build_model(cfg).named_parameters()
+    adam = AdamState.for_params(params)
+    adam.step = 7
+    checkpoint_save(root / "good.tqck", cfg,
+                    {n: p.data for n, p in params.items()}, adam,
+                    LabelTransform(lo=0.1, hi=0.9))
+    return (root / "good.tqck").read_bytes(), root / "damaged.tqck"
+
+
+def _load_damaged(path, raw):
+    path.write_bytes(raw)
+    return checkpoint_load(path)
+
+
+@pytest.mark.parametrize("cut", [0, 3, 6, 40, "mid-array", -1])
+def test_checkpoint_truncation_is_data_error(small_checkpoint, cut):
+    # 6 bytes once raised struct.error, 40 bytes a ConfigError from the
+    # half-read config, and a mid-array cut a numpy ValueError
+    raw, path = small_checkpoint
+    if cut == "mid-array":
+        cut = len(raw) - 100
+    with pytest.raises(DataError, match="truncated|magic"):
+        _load_damaged(path, raw[:cut])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_fuzz_raises_only_data_error(small_checkpoint, data):
+    raw, path = small_checkpoint
+    damaged = bytearray(raw)
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = damaged[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    else:
+        for _ in range(data.draw(st.integers(1, 4), label="flips")):
+            pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+            damaged[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    try:
+        _load_damaged(path, bytes(damaged))
+    except DataError:
+        pass
+
+
+def test_checkpoint_rejects_nonfinite_values(small_checkpoint):
+    raw, path = small_checkpoint
+    damaged = bytearray(raw)
+    damaged[-8:] = np.array([np.nan]).tobytes()      # the last array value
+    with pytest.raises(DataError, match="non-finite"):
+        _load_damaged(path, bytes(damaged))
+
+
+def test_checkpoint_rejects_empty_label_range(tmp_path):
+    cfg = TrainConfig(dim=8, clips=4, heads=2, layers=1, seed=3)
+    params = build_model(cfg).named_parameters()
+    checkpoint_save(tmp_path / "flat.tqck", cfg,
+                    {n: p.data for n, p in params.items()},
+                    AdamState.for_params(params),
+                    LabelTransform(lo=0.1, hi=0.9))
+    raw = (tmp_path / "flat.tqck").read_bytes()
+    lo = np.array([0.1]).tobytes()
+    hi = np.array([0.9]).tobytes()
+    assert raw.count(lo) == 1 and raw.count(hi) == 1
+    with pytest.raises(DataError, match="label range"):
+        _load_damaged(tmp_path / "flat.tqck", raw.replace(lo, hi))
 
 
 # ---------------------------------------------------------------------------
